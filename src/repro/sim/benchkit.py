@@ -19,9 +19,8 @@ from repro.sim.resources import NS_PER_S, BandwidthChannel, CapacityResource, St
 
 #: Calendar events created by the most recent workload run (``env._eid``
 #: after the run: every scheduled event — timer, wake-up, process start —
-#: consumes exactly one id, whether it is dispatched through the heap, the
-#: now-queue or the batch-advance path).  Lets harnesses report an
-#: auditable event count next to the fixed operation count.
+#: is one heap entry and consumes exactly one id).  Lets harnesses report
+#: an auditable event count next to the fixed operation count.
 LAST_EVENT_COUNT = 0
 
 
@@ -76,7 +75,7 @@ def bandwidth_sweep(
     """Closed-loop transfers through one parallel bandwidth channel.
 
     Queue-depth-limited like a drive: stresses ``reserve``'s earliest-free
-    server selection and the store/semaphore fast paths.  Returns the
+    server selection and the semaphore's grant/wake-up paths.  Returns the
     operation count (one per transfer).
     """
     env = Environment()

@@ -6,53 +6,22 @@ events and is resumed when those events trigger.  Unlike ``simpy``, time is
 an integer (nanoseconds) so simulations are exactly reproducible across
 platforms, and the implementation is trimmed to what this repository needs.
 
-Fast-path architecture (PR 6)
------------------------------
-
-Three coordinated optimizations keep the dispatch rate high without
-changing a single event's outcome or ordering:
-
-* **now-queue** — events scheduled at the current timestamp (``succeed``,
-  ``fail``, store wake-ups, process starts) go to a FIFO deque instead of
-  the heap.  Creation order equals event-id order, so draining the deque
-  FIFO — interleaved with same-timestamp heap entries by event id — is
-  exactly the order the pure-heap kernel dispatches.
-* **batch-advance** — when a process yields the event the calendar would
-  dispatch next anyway (typically a timer: the heap head, nothing queued
-  at ``now``, no other listeners, inside the run horizon), ``_resume``
-  pops it and continues the generator inline instead of parking and
-  bouncing through ``Environment.run``.  Fluid-flow resources
-  (:class:`~repro.sim.resources.BandwidthChannel`,
-  :class:`~repro.storage.drive.NvmeDrive`) compute completion times in
-  closed form and yield exactly such timers, so long stretches of
-  independent completions advance in one tight loop.
-* **event arena** — hot short-lived events (timers, uncontended
-  store/semaphore grants) are recycled through per-class free lists on the
-  environment.  Recycling is guarded by ``sys.getrefcount``: an event is
-  returned to the arena only when the kernel holds the *only* reference,
-  so user code that keeps an event alive can never observe it aliased.
-
-Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
-``env._fast = False`` and migrates the now-queue into the heap: the kernel
-degrades to the fully-checked pure-heap path and the sanitizer's rebound
-``run`` sees every single event.
+Every scheduled event — timer, wake-up, process start — is one
+``(time, eid, event)`` heap entry and consumes exactly one event id, so
+events dispatch in ``(time, eid)`` order: by timestamp, then in creation
+order.  :meth:`Environment.run` is the one dispatch loop.  The only events
+that bypass the calendar are the *pre-processed* grants of
+:meth:`Environment.grant_event` (uncontended store gets and semaphore
+requests): a process yielding one resumes inline.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from sys import getrefcount
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 #: Sentinel for "event has not been assigned a value yet".
 _PENDING = object()
-
-#: Run horizon meaning "no limit" (compares greater than any int timestamp).
-_NO_HORIZON = float("inf")
-
-#: Per-class cap on arena free lists (bounds memory if a workload bursts).
-_POOL_CAP = 512
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -79,11 +48,7 @@ class Event:
     argument when the event is *processed* (popped from the calendar).
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_scheduled")
-
-    #: True for arena-managed classes (Timeout, resource waiters): the
-    #: dispatch loop may recycle an instance once nothing references it.
-    _poolable = False
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -91,7 +56,6 @@ class Event:
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._defused = False
-        self._scheduled = False
 
     def __repr__(self) -> str:
         state = "pending"
@@ -141,15 +105,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # inlined self.env._schedule(self) — succeed is a kernel hot path
-        if not self._scheduled:
-            self._scheduled = True
-            env = self.env
-            env._eid += 1
-            if env._fast:
-                env._nowq.append((env._eid, self))
-            else:
-                heapq.heappush(env._queue, (env.now, env._eid, self))
+        self.env._schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -172,17 +128,12 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay.
 
-    ``_time``/``_teid`` hold the calendar position of a *deferred* timer
-    (see :meth:`Environment.timeout`): a pooled timer is not pushed onto
-    the heap until something other than its creator needs the calendar,
-    because the overwhelmingly common fate of a timer is to be yielded
-    immediately and consumed by the batch-advance path without any other
-    event dispatching in between.
+    ``_time`` is the timer's absolute calendar time, which lets
+    :meth:`Environment.run` treat an undispatched timer passed as ``until``
+    as the integer horizon it denotes.
     """
 
-    __slots__ = ("delay", "_time", "_teid")
-
-    _poolable = True
+    __slots__ = ("delay", "_time")
 
     def __init__(self, env: "Environment", delay: int, value: Any = None) -> None:
         if delay < 0:
@@ -194,11 +145,10 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self._scheduled = True
         self.delay = delay
-        self._time = env.now + delay
+        self._time = time = env.now + delay
         env._eid += 1
-        heapq.heappush(env._queue, (env.now + delay, env._eid, self))
+        heappush(env._queue, (time, env._eid, self))
 
 
 class Initialize(Event):
@@ -272,7 +222,6 @@ class Process(Event):
         # Let resource-wait events return queued positions or granted
         # slots; a plain Event's hook is a no-op.
         target._abandoned()
-        self.env._recycle_abandoned(target)
         interrupt_event.callbacks = [self._resume]
         self.env._schedule(interrupt_event)
 
@@ -282,8 +231,8 @@ class Process(Event):
         generator = self._generator
         while True:
             try:
-                if event is None or event._ok:
-                    target = generator.send(None if event is None else event._value)
+                if event._ok:
+                    target = generator.send(event._value)
                 else:
                     event._defused = True
                     target = generator.throw(event._value)
@@ -298,90 +247,18 @@ class Process(Event):
                 self._target = None
                 env._active_process = None
                 self.succeed(stop.value)
-                deferred = env._deferred
-                if deferred is not None:
-                    env._deferred = None
-                    heapq.heappush(
-                        env._queue, (deferred._time, deferred._teid, deferred)
-                    )
                 return
             except BaseException as exc:
                 self._target = None
                 env._active_process = None
                 self.fail(exc)
-                deferred = env._deferred
-                if deferred is not None:
-                    env._deferred = None
-                    heapq.heappush(
-                        env._queue, (deferred._time, deferred._teid, deferred)
-                    )
                 return
-
-            # The consumed event is dead unless someone else still holds a
-            # reference (the run loop, a Condition, user code): recycle it
-            # into the arena.  refcount == 2 means exactly [our local +
-            # getrefcount's argument] — nothing can observe the reuse.
-            if event is not None and event.callbacks is None:
-                cls = event.__class__
-                if cls is Timeout:
-                    pool = env._timeout_pool
-                    if len(pool) < _POOL_CAP and getrefcount(event) == 2:
-                        pool.append(event)
-                elif cls is Event:
-                    pool = env._event_pool
-                    if len(pool) < _POOL_CAP and getrefcount(event) == 2:
-                        pool.append(event)
-
             if target.callbacks is None:
                 # Already processed: resume immediately with its outcome.
                 event = target
                 continue
-            if (
-                env._fast
-                and not target.callbacks
-                and not env._nowq
-            ):
-                # Batch-advance: the yielded event is scheduled, nothing
-                # waits at the current timestamp, and nobody else listens.
-                # If it is also the next calendar entry and inside the run
-                # horizon, the run loop's next action would be to pop it
-                # and resume this process — do that here without the round
-                # trip.
-                if env._deferred is target:
-                    # The just-created timer was never pushed: consume it
-                    # in place unless an earlier heap entry must dispatch
-                    # first (strict (time, eid) order against the head).
-                    time = target._time
-                    if time <= env._horizon:
-                        queue = env._queue
-                        if (
-                            not queue
-                            or time < queue[0][0]
-                            or (time == queue[0][0] and target._teid < queue[0][1])
-                        ):
-                            env._deferred = None
-                            env.now = time
-                            target.callbacks = None
-                            event = target
-                            continue
-                elif env._deferred is None:
-                    # (No temporary may retain the heap tuple, or the
-                    # recycle site above sees a phantom reference and never
-                    # pools timers.)
-                    queue = env._queue
-                    if queue and queue[0][2] is target and queue[0][0] <= env._horizon:
-                        env.now = heapq.heappop(queue)[0]
-                        target.callbacks = None
-                        event = target
-                        continue
             self._target = target
             target.callbacks.append(self._resume)
-            deferred = env._deferred
-            if deferred is not None:
-                env._deferred = None
-                heapq.heappush(
-                    env._queue, (deferred._time, deferred._teid, deferred)
-                )
             env._active_process = None
             return
 
@@ -457,28 +334,11 @@ class Environment:
 
     def __init__(self, initial_time: int = 0) -> None:
         self.now: int = int(initial_time)
+        #: the calendar: a heap of ``(time, eid, event)``
         self._queue: List = []
-        #: FIFO of ``(eid, event)`` scheduled at the *current* timestamp.
-        #: Only populated on the fast path; drained before the clock moves.
-        self._nowq: Deque[Tuple[int, Event]] = deque()
+        #: event ids handed out so far (one per scheduled event)
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: False once a sanitizer arms this environment: every event goes
-        #: through the heap and the checked dispatch loop.
-        self._fast = True
-        #: Time bound of the active ``run`` call; the batch-advance fast
-        #: path never advances the clock past it.
-        self._horizon = _NO_HORIZON
-        #: A pooled Timeout whose heap insertion is deferred (see
-        #: :meth:`timeout`).  Flushed by every kernel entry point that
-        #: reads the calendar; at most one exists at a time.
-        self._deferred: Optional[Timeout] = None
-        # Arena free lists (see module docstring).  Recycled objects are
-        # fully re-initialized on reuse; the refcount guard at the recycle
-        # sites makes aliasing with live events impossible.
-        self._timeout_pool: List[Timeout] = []
-        self._event_pool: List[Event] = []
-        self._waiter_pool: dict = {}
 
     # -- event construction helpers ------------------------------------
 
@@ -487,39 +347,7 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """An event that succeeds ``delay`` nanoseconds from now.
-
-        Pooled timers are *deferred*: the heap insertion happens only when
-        some other kernel entry point needs the calendar.  The timer keeps
-        its event id from creation time, so a late flush lands in exactly
-        the slot an immediate push would have used.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(
-                self._queue, (deferred._time, deferred._teid, deferred)
-            )
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            t = pool.pop()
-            t.callbacks = []
-            t._value = value
-            t._defused = False
-            t.delay = delay
-            self._eid += 1
-            time = self.now + delay
-            t._time = time
-            queue = self._queue
-            if self._fast and (not queue or time < queue[0][0]):
-                # Earliest known event: defer the heap insertion — odds are
-                # the creator yields it next and batch-advance consumes it
-                # without the calendar ever seeing it.
-                t._teid = self._eid
-                self._deferred = t
-                return t
-            heapq.heappush(queue, (time, self._eid, t))
-            return t
+        """An event that succeeds ``delay`` nanoseconds from now."""
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -532,125 +360,24 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- arena ----------------------------------------------------------
-
     def grant_event(self, value: Any) -> Event:
-        """A pre-processed successful event (the uncontended-grant fast
-        path of ``Store.get`` / ``CapacityResource.request``), drawn from
-        the arena when possible."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event._defused = False
-        else:
-            event = Event(self)
-            event._ok = True
-            event._value = value
-            event.callbacks = None
-            event._scheduled = True
+        """A pre-processed successful event (the uncontended-grant path of
+        ``Store.get`` / ``CapacityResource.request``).
+
+        It never enters the calendar and takes no event id: a process
+        yielding it resumes inline with ``value``.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        event.callbacks = None
         return event
-
-    def waiter_event(self, cls, *args) -> Event:
-        """A fresh (or recycled) resource-wait event of ``cls``.
-
-        ``cls.__init__`` must accept ``(*args)`` and a recycled instance
-        must be reusable after ``cls._reinit(*args)``.
-        """
-        pool = self._waiter_pool.get(cls)
-        if pool:
-            event = pool.pop()
-            event._reinit(*args)
-            return event
-        return cls(*args)
-
-    def _recycle_waiter(self, event: Event) -> None:
-        """Return a dead resource-wait event to its per-class free list.
-
-        Callers must have verified via refcount that the kernel holds the
-        only reference; see the dispatch-loop recycle site.
-        """
-        pool = self._waiter_pool.setdefault(event.__class__, [])
-        if len(pool) < _POOL_CAP:
-            pool.append(event)
-
-    def _recycle_abandoned(self, event: Event) -> None:
-        """Recycle a wait event whose consumer was interrupted away.
-
-        Called from :meth:`Process.interrupt` after ``_abandoned`` has
-        withdrawn the event from its resource queue.  Only a *still-queued*
-        waiter (never triggered, never scheduled) is eligible — a waiter
-        whose grant already happened stays alive until its calendar entry
-        dispatches, where the dispatch-site recycler picks it up.  The
-        refcount must be exactly 3 (``interrupt``'s local + our argument +
-        getrefcount's own): anything more means user code or a resource
-        queue still sees the event, so it is left to the garbage collector.
-        """
-        if (
-            event._poolable
-            and event._ok is None
-            and event.callbacks is not None
-            and getrefcount(event) == 3
-        ):
-            event.callbacks = None
-            self._recycle_waiter(event)
-
-    def _recycle_dispatched(self, event: Event) -> None:
-        """Dispatch-loop recycle site: ``event`` just ran its callbacks and
-        nothing else references it (caller verified via refcount)."""
-        if event.__class__ is Timeout:
-            pool = self._timeout_pool
-            if len(pool) < _POOL_CAP:
-                pool.append(event)
-        else:
-            self._recycle_waiter(event)
 
     # -- scheduling -----------------------------------------------------
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
         self._eid += 1
-        if delay == 0 and self._fast:
-            self._nowq.append((self._eid, event))
-        else:
-            heapq.heappush(self._queue, (self.now + delay, self._eid, event))
-
-    def _next(self):
-        """Pop the next event in dispatch order, or None when drained.
-
-        Interleaves the now-queue with same-timestamp heap entries by
-        event id, reproducing exactly the pure-heap dispatch order.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
-        nowq = self._nowq
-        queue = self._queue
-        if nowq:
-            if queue:
-                head = queue[0]
-                if head[0] == self.now and head[1] < nowq[0][0]:
-                    return heapq.heappop(queue)
-            eid, event = nowq.popleft()
-            return (self.now, eid, event)
-        if queue:
-            return heapq.heappop(queue)
-        return None
-
-    def _step(self) -> None:
-        item = self._next()
-        if item is None:
-            raise IndexError("step from an empty calendar")
-        time, _, event = item
-        self.now = time
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            raise event._value
+        heappush(self._queue, (self.now + delay, self._eid, event))
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -666,150 +393,42 @@ class Environment:
         the horizon stay queued for the next ``run`` call.  This boundary
         is deterministic: two runs split at any horizon process the same
         events in the same order as one uninterrupted run.
-
-        The event dispatch loop is inlined here (rather than calling
-        :meth:`_step`) because it is the hottest code in the repository.
         """
-        queue = self._queue
-        nowq = self._nowq
-        pop = heapq.heappop
-        popleft = nowq.popleft
-        timeout_pool = self._timeout_pool
-        waiter_pool = self._waiter_pool
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(queue, (deferred._time, deferred._teid, deferred))
-        if isinstance(until, Event) and until.__class__ is Timeout and until.callbacks is not None:
+        if isinstance(until, Timeout) and until.callbacks is not None:
             # Timeouts are pre-succeeded at creation (``_ok`` is True long
-            # before they dispatch), so the event-wait loop below would
-            # return immediately having simulated nothing.  An undispatched
-            # timer passed as ``until`` therefore runs as the integer
-            # horizon it denotes.
+            # before they dispatch), so waiting for the event would return
+            # immediately having simulated nothing.  An undispatched timer
+            # passed as ``until`` therefore runs as the integer horizon it
+            # denotes.
             until = until._time
         if isinstance(until, Event):
-            stop_event = until
-            self._horizon = _NO_HORIZON
-            while stop_event._ok is None:
-                if nowq:
-                    if queue:
-                        head = queue[0]
-                        if head[0] == self.now and head[1] < nowq[0][0]:
-                            time, _, event = pop(queue)
-                            self.now = time
-                        else:
-                            _, event = popleft()
-                    else:
-                        _, event = popleft()
-                elif queue:
-                    time, _, event = pop(queue)
-                    self.now = time
-                else:
-                    break
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if event._poolable and getrefcount(event) == 2:
-                    # inlined _recycle_dispatched (hot dispatch tail)
-                    if event.__class__ is Timeout:
-                        if len(timeout_pool) < _POOL_CAP:
-                            timeout_pool.append(event)
-                    else:
-                        wpool = waiter_pool.get(event.__class__)
-                        if wpool is None:
-                            wpool = waiter_pool.setdefault(event.__class__, [])
-                        if len(wpool) < _POOL_CAP:
-                            wpool.append(event)
-            if stop_event._ok is None:
-                raise SimulationError(
-                    f"simulation ran out of events before {stop_event!r} triggered"
-                )
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        if until is not None:
-            horizon = int(until)
-            if horizon < self.now:
-                raise ValueError(f"until={horizon} is in the past (now={self.now})")
-            self._horizon = horizon
-            while True:
-                if nowq:
-                    if queue:
-                        head = queue[0]
-                        if head[0] == self.now and head[1] < nowq[0][0]:
-                            time, _, event = pop(queue)
-                            self.now = time
-                        else:
-                            _, event = popleft()
-                    else:
-                        _, event = popleft()
-                elif queue and queue[0][0] <= horizon:
-                    time, _, event = pop(queue)
-                    self.now = time
-                else:
-                    break
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if event._poolable and getrefcount(event) == 2:
-                    # inlined _recycle_dispatched (hot dispatch tail)
-                    if event.__class__ is Timeout:
-                        if len(timeout_pool) < _POOL_CAP:
-                            timeout_pool.append(event)
-                    else:
-                        wpool = waiter_pool.get(event.__class__)
-                        if wpool is None:
-                            wpool = waiter_pool.setdefault(event.__class__, [])
-                        if len(wpool) < _POOL_CAP:
-                            wpool.append(event)
-            self.now = horizon
-            return None
-        self._horizon = _NO_HORIZON
-        while True:
-            if nowq:
-                if queue:
-                    head = queue[0]
-                    if head[0] == self.now and head[1] < nowq[0][0]:
-                        time, _, event = pop(queue)
-                        self.now = time
-                    else:
-                        _, event = popleft()
-                else:
-                    _, event = popleft()
-            elif queue:
-                time, _, event = pop(queue)
-                self.now = time
-            else:
-                break
+            stop, limit = until, float("inf")
+        else:
+            stop = Event(self)  # nobody can trigger it: no event to wait for
+            limit = float("inf") if until is None else int(until)
+            if limit < self.now:
+                raise ValueError(f"until={limit} is in the past (now={self.now})")
+        queue = self._queue
+        while queue and stop._ok is None and queue[0][0] <= limit:
+            self.now, _, event = heappop(queue)
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
             if event._ok is False and not event._defused:
                 raise event._value
-            if event._poolable and getrefcount(event) == 2:
-                # inlined _recycle_dispatched (hot dispatch tail)
-                if event.__class__ is Timeout:
-                    if len(timeout_pool) < _POOL_CAP:
-                        timeout_pool.append(event)
-                else:
-                    wpool = waiter_pool.get(event.__class__)
-                    if wpool is None:
-                        wpool = waiter_pool.setdefault(event.__class__, [])
-                    if len(wpool) < _POOL_CAP:
-                        wpool.append(event)
-        return None
+        if stop is not until:
+            if until is not None:
+                self.now = limit
+            return None
+        if stop._ok is None:
+            raise SimulationError(
+                f"simulation ran out of events before {stop!r} triggered"
+            )
+        if not stop._ok:
+            stop._defused = True
+            raise stop._value
+        return stop._value
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the calendar is empty."""
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
-        if self._nowq:
-            return self.now
         return self._queue[0][0] if self._queue else None

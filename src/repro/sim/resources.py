@@ -11,11 +11,11 @@ Three primitives cover every piece of hardware this repository models:
   SSD data channels and CPU cores (where "bytes" are replaced by
   nanoseconds of work).
 
-Hot-path note: uncontended ``Store.get`` / ``CapacityResource.request``
-return *pre-processed* grant events drawn from the environment's event
-arena, and queued waiters (:class:`_StoreGet`, :class:`_CapacityRequest`)
-are recycled through per-class free lists once consumed or cancelled —
-see :mod:`repro.sim.core` for the arena's aliasing guarantees.
+Uncontended ``Store.get`` / ``CapacityResource.request`` return
+*pre-processed* grant events (:meth:`Environment.grant_event`): a process
+yielding one resumes inline, without a calendar entry.  Contended ones
+queue a waiter (:class:`_StoreGet`, :class:`_CapacityRequest`) that is
+woken FIFO through the calendar and survives ``Process.interrupt``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 from collections import deque
 from typing import Any, Deque, List, Tuple
 
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import Environment, Event
 
 #: Nanoseconds per second; all rates are converted to bytes/ns internally.
 NS_PER_S = 1_000_000_000
@@ -36,26 +36,15 @@ class _StoreGet(Event):
     When the waiting process is interrupted the kernel calls
     :meth:`_abandoned`: a still-queued getter withdraws from the store's
     wait queue; a getter that was already handed an item (triggered but not
-    yet resumed) returns that item to the store so it is not lost.
+    yet resumed) returns that item to the front of the line, so it is
+    neither lost nor overtaken by items put after it.
     """
 
     __slots__ = ("store",)
 
-    #: dispatched instances are recycled through the environment arena
-    _poolable = True
-
     def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         self.store = store
-
-    def _reinit(self, store: "Store") -> None:
-        """Reset a recycled instance to freshly-constructed state."""
-        self.store = store
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
-        self._scheduled = False
 
     def _abandoned(self) -> None:
         store, self.store = self.store, None
@@ -67,9 +56,10 @@ class _StoreGet(Event):
             except ValueError:  # pragma: no cover - already granted/removed
                 pass
         elif self._ok:
-            # Granted but never consumed: the item goes back to the store
-            # (front of the line for the oldest still-live getter).
-            store.put(self._value)
+            # Granted but never consumed: the item goes to the oldest live
+            # getter, or else back to the head of the queue.
+            if not store._wake(self._value):
+                store._items.appendleft(self._value)
 
 
 class _CapacityRequest(Event):
@@ -85,24 +75,11 @@ class _CapacityRequest(Event):
 
     __slots__ = ("resource", "proc")
 
-    #: dispatched instances are recycled through the environment arena
-    _poolable = True
-
     def __init__(self, resource: "CapacityResource") -> None:
         super().__init__(resource.env)
         self.resource = resource
         #: requesting process (for the sanitizer's leaked-hold report)
         self.proc = resource.env._active_process
-
-    def _reinit(self, resource: "CapacityResource") -> None:
-        """Reset a recycled instance to freshly-constructed state."""
-        self.resource = resource
-        self.proc = resource.env._active_process
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
-        self._scheduled = False
 
     def _abandoned(self) -> None:
         resource, self.resource = self.resource, None
@@ -135,24 +112,18 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Add ``item``; wakes the oldest waiting getter if any."""
+        if not self._wake(item):
+            self._items.append(item)
+
+    def _wake(self, item: Any) -> bool:
+        """Hand ``item`` to the oldest live getter; False if none waits."""
         getters = self._getters
         while getters:
             getter = getters.popleft()
-            if getter._ok is not None:  # cancelled getter
-                continue
-            # inlined getter.succeed(item) — put/wake is a kernel hot path
-            getter._ok = True
-            getter._value = item
-            if not getter._scheduled:
-                getter._scheduled = True
-                env = self.env
-                env._eid += 1
-                if env._fast:
-                    env._nowq.append((env._eid, getter))
-                else:
-                    heapq.heappush(env._queue, (env.now, env._eid, getter))
-            return
-        self._items.append(item)
+            if getter._ok is None:  # skip cancelled getters
+                getter.succeed(item)
+                return True
+        return False
 
     def clear(self) -> int:
         """Drop every queued item (fault injection: a crashed server loses
@@ -170,34 +141,9 @@ class Store:
         a trip through the event calendar.  Getters that must wait are woken
         through the calendar as before, preserving FIFO fairness.
         """
-        env = self.env
-        items = self._items
-        if items:
-            # inlined env.grant_event(items.popleft())
-            pool = env._event_pool
-            if pool:
-                event = pool.pop()
-                event._value = items.popleft()
-                event._defused = False
-                return event
-            event = Event(env)
-            event._ok = True
-            event._value = items.popleft()
-            event.callbacks = None
-            event._scheduled = True
-            return event
-        # inlined env.waiter_event(_StoreGet, self)
-        pool = env._waiter_pool.get(_StoreGet)
-        if pool:
-            event = pool.pop()
-            event.store = self
-            event.callbacks = []
-            event._value = _PENDING
-            event._ok = None
-            event._defused = False
-            event._scheduled = False
-        else:
-            event = _StoreGet(self)
+        if self._items:
+            return self.env.grant_event(self._items.popleft())
+        event = _StoreGet(self)
         self._getters.append(event)
         return event
 
@@ -233,38 +179,13 @@ class CapacityResource:
         process continues inline without touching the event calendar;
         contended requests queue and are woken FIFO through the calendar.
         """
-        env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
-            # inlined env.grant_event(self)
-            pool = env._event_pool
-            if pool:
-                event = pool.pop()
-                event._value = self
-                event._defused = False
-            else:
-                event = Event(env)
-                event._ok = True
-                event._value = self
-                event.callbacks = None
-                event._scheduled = True
             if self.sanitizer is not None:
                 self.sanitizer.on_resource_grant(self)
-        else:
-            # inlined env.waiter_event(_CapacityRequest, self)
-            pool = env._waiter_pool.get(_CapacityRequest)
-            if pool:
-                event = pool.pop()
-                event.resource = self
-                event.proc = env._active_process
-                event.callbacks = []
-                event._value = _PENDING
-                event._ok = None
-                event._defused = False
-                event._scheduled = False
-            else:
-                event = _CapacityRequest(self)
-            self._waiters.append(event)
+            return self.env.grant_event(self)
+        event = _CapacityRequest(self)
+        self._waiters.append(event)
         return event
 
     def _pass_on(self) -> None:
@@ -274,17 +195,7 @@ class CapacityResource:
             waiter = waiters.popleft()
             if waiter._ok is not None:  # cancelled waiter
                 continue
-            # inlined waiter.succeed(self)
-            waiter._ok = True
-            waiter._value = self
-            if not waiter._scheduled:
-                waiter._scheduled = True
-                env = self.env
-                env._eid += 1
-                if env._fast:
-                    env._nowq.append((env._eid, waiter))
-                else:
-                    heapq.heappush(env._queue, (env.now, env._eid, waiter))
+            waiter.succeed(self)
             if self.sanitizer is not None:
                 self.sanitizer.on_resource_grant(self, waiter)
             return

@@ -2,9 +2,10 @@
 
 :class:`KernelSanitizer` attaches to one :class:`repro.sim.core.Environment`
 and rebinds ``env.run`` / ``env._schedule`` as *instance* attributes, so
-unarmed environments keep the exact inlined hot loops of PR 1 while armed
-environments pay for per-event checks.  The rebound loop dispatches events
-in precisely the same order as the stock loop — an armed run produces the
+unarmed environments keep the class-level dispatch loop while armed
+environments pay for per-event checks.  Both loops pop the same
+``(time, eid, event)`` calendar, so the rebound loop dispatches events in
+precisely the same order as the stock loop — an armed run produces the
 same simulated outcome (``FioResult`` equality is acceptance-tested), it
 just watches the kernel while doing so.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, Event, SimulationError, Timeout
 
 
 class KernelSanitizer:
@@ -52,22 +53,8 @@ class KernelSanitizer:
         #: per resource id: list of holder Processes (None for non-process)
         self._res_holders: Dict[int, List[Any]] = {}
         self.events_checked = 0
-        # Degrade the kernel to the fully-checked pure-heap path: no
-        # batch-advance inside Process._resume, no now-queue bypass — every
-        # event flows through the heap and our _dispatch sees it.  Events
-        # already sitting in the now-queue keep their ids, so migrating
-        # them into the heap preserves dispatch order exactly.
-        env._fast = False
-        deferred = env._deferred
-        if deferred is not None:
-            env._deferred = None
-            heapq.heappush(env._queue, (deferred._time, deferred._teid, deferred))
-        while env._nowq:
-            eid, event = env._nowq.popleft()
-            heapq.heappush(env._queue, (env.now, eid, event))
-        # Rebind the hot entry points on the *instance* — unarmed
-        # environments never see these attributes and keep the class-level
-        # inlined loops.
+        # Rebind the entry points on the *instance* — unarmed environments
+        # never see these attributes and keep the class-level loop.
         self._orig_schedule = env._schedule
         env._schedule = self._schedule
         env.run = self._run
@@ -123,6 +110,8 @@ class KernelSanitizer:
         env = self.env
         queue = env._queue
         pop = heapq.heappop
+        if isinstance(until, Timeout) and until.callbacks is not None:
+            until = until._time  # an undispatched timer denotes its horizon
         if isinstance(until, Event):
             stop_event = until
             while queue and stop_event._ok is None:

@@ -1,20 +1,16 @@
-"""Event-arena aliasing properties (PR 6 satellite).
+"""Interleaved-cancel properties of stores and capacity resources.
 
-The kernel recycles dead events (timers, uncontended grants, resource
-waiters) through per-class free lists.  The safety argument is a refcount
-guard: an event enters a free list only when the kernel holds the sole
-reference.  These hypothesis tests drive arbitrary interleavings of
-request/grant/cancel through stores and capacity resources and assert the
-two properties the argument rests on:
+These hypothesis tests drive arbitrary interleavings of
+request/grant/cancel through a :class:`Store` and a
+:class:`CapacityResource`, and check what a cancelled waiter must never
+break, wherever the cancel lands — still queued, or granted but not yet
+resumed:
 
-* **no aliasing** — no pooled event is simultaneously queued on a
-  resource, parked as a process's wait target, scheduled in the calendar,
-  or held as the deferred timer;
-* **recycle exactly once** — a free list never contains the same object
-  twice (a double recycle would hand one instance to two consumers).
-
-Plus end-to-end conservation: no store item is lost or double-delivered
-and no capacity slot leaks, no matter where cancels land.
+* **store conservation** — no item is lost or delivered twice;
+* **store order** — items queue in put order, and an item handed back by
+  a cancelled getter goes in front of them, never behind an item put
+  after it;
+* **capacity conservation** — no slot leaks.
 """
 
 from hypothesis import given, settings
@@ -24,24 +20,14 @@ from repro.sim import Environment, Interrupt
 from repro.sim.resources import CapacityResource, Store, _CapacityRequest
 
 
-def _assert_arena_invariants(env, live_events):
-    """No pooled event is alive anywhere; no event pooled twice."""
-    pooled = []
-    for pool in (env._timeout_pool, env._event_pool):
-        pooled.extend(pool)
-    for pool in env._waiter_pool.values():
-        pooled.extend(pool)
-    pooled_ids = [id(e) for e in pooled]
-    assert len(pooled_ids) == len(set(pooled_ids)), "event recycled twice"
-    pooled_set = set(pooled_ids)
-
-    live = list(live_events)
-    live.extend(e for _, _, e in env._queue)
-    live.extend(e for _, e in env._nowq)
-    if env._deferred is not None:
-        live.append(env._deferred)
-    overlap = pooled_set & {id(e) for e in live}
-    assert not overlap, f"{len(overlap)} pooled event(s) still live"
+def _assert_put_order(store, handed_back):
+    """Fresh tokens queue in put order, behind every handed-back token."""
+    items = list(store._items)
+    fresh = [t for t in items if t not in handed_back]
+    assert fresh == sorted(fresh), f"queue {items} breaks put order"
+    assert items[len(items) - len(fresh):] == fresh, (
+        f"queue {items}: a handed-back token sits behind a later put"
+    )
 
 
 _OPS = st.lists(
@@ -58,9 +44,10 @@ class TestStoreGetCancel:
         self, ops, picks
     ):
         env = Environment()
-        store = Store(env, name="arena")
+        store = Store(env, name="cancel")
         received = []
         cancelled = []
+        handed_back = set()
         procs = []
         next_token = 0
 
@@ -71,11 +58,6 @@ class TestStoreGetCancel:
                 cancelled.append(idx)
                 return
             received.append(item)
-
-        def live_events():
-            events = list(store._getters)
-            events.extend(p._target for p in procs if p._target is not None)
-            return events
 
         for op in ops:
             if op == "spawn":
@@ -89,10 +71,13 @@ class TestStoreGetCancel:
                     idx = picks.draw(
                         st.integers(0, len(waiting) - 1), label="victim"
                     )
+                    target = waiting[idx]._target
+                    if target.triggered:  # granted, not yet resumed
+                        handed_back.add(target.value)
                     waiting[idx].interrupt("cancel")
             else:  # advance: park spawned processes, deliver grants
                 env.run(until=env.now + 1)
-            _assert_arena_invariants(env, live_events())
+            _assert_put_order(store, handed_back)
 
         # Drain: one item per still-live process, then run to quiescence.
         env.run(until=env.now + 1)
@@ -101,7 +86,7 @@ class TestStoreGetCancel:
                 store.put(next_token)
                 next_token += 1
         env.run()
-        _assert_arena_invariants(env, live_events())
+        _assert_put_order(store, handed_back)
 
         assert all(not p.is_alive for p in procs)
         # Conservation: every token was delivered at most once, and every
@@ -122,7 +107,7 @@ class TestCapacityRequestCancel:
         self, capacity, ops, picks
     ):
         env = Environment()
-        res = CapacityResource(env, capacity=capacity, name="arena")
+        res = CapacityResource(env, capacity=capacity, name="cancel")
         served = []
         procs = []
 
@@ -134,11 +119,6 @@ class TestCapacityRequestCancel:
             served.append(idx)
             yield env.timeout(hold_ns)
             res.release()
-
-        def live_events():
-            events = list(res._waiters)
-            events.extend(p._target for p in procs if p._target is not None)
-            return events
 
         for op in ops:
             if op == "spawn":
@@ -165,10 +145,8 @@ class TestCapacityRequestCancel:
             else:  # advance
                 env.run(until=env.now + 1)
             assert 0 <= res._in_use <= capacity
-            _assert_arena_invariants(env, live_events())
 
         env.run()
-        _assert_arena_invariants(env, live_events())
         assert all(not p.is_alive for p in procs)
         # No slot leaked: every grant was eventually released, including
         # slots granted to waiters that were cancelled before resuming.

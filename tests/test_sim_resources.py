@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import BandwidthChannel, CapacityResource, Environment, Store
+from repro.sim import BandwidthChannel, CapacityResource, Environment, Interrupt, Store
 from repro.sim.resources import NS_PER_S
 
 
@@ -356,6 +356,30 @@ class TestCancelSafety:
         assert got == [("victim", "interrupted")]
         # the granted item went back into the store, not into the void
         assert len(store) == 1
+
+    def test_store_cancel_returns_item_to_front_of_line(self):
+        env = Environment()
+        store = Store(env)
+
+        def cancelled_getter():
+            with pytest.raises(Interrupt):
+                yield store.get()
+
+        victim = env.process(cancelled_getter())  # parks on the empty store
+        env.run(until=1)
+        store.put("A")  # granted to the waiting victim ...
+        store.put("B")  # ... so B queues behind it
+        victim.interrupt("cancelled")  # before the victim ever resumes
+        got = []
+
+        def consumer():
+            for _ in range(2):
+                got.append((yield store.get()))
+
+        env.process(consumer())
+        env.run()
+        # A was put first, so it is still delivered first
+        assert got == ["A", "B"]
 
     def test_cancelled_paths_pass_leak_check(self):
         from repro.verify import KernelSanitizer

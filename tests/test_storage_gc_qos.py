@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterConfig, build_cluster
-from repro.cluster.qos import RateLimitedDevice, TokenBucket
 from repro.draid import DraidArray
+from repro.qos import RateLimitedDevice, TokenBucket
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sim import Environment
 from repro.storage import DriveProfile, NvmeDrive

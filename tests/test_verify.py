@@ -186,6 +186,22 @@ class TestKernelSanitizer:
         KernelSanitizer(env)
         assert trace_run(env) == plain
 
+    def test_armed_run_until_timer_runs_to_its_horizon(self):
+        # an undispatched timer passed as ``until`` is the horizon it
+        # denotes, armed or not
+        env, sanitizer = armed_env()
+        fired = []
+
+        def ticker():
+            for delay in (4, 6):
+                yield env.timeout(delay)
+                fired.append(env.now)
+
+        env.process(ticker())
+        env.run(until=env.timeout(10))
+        assert env.now == 10
+        assert fired == [4, 10]
+
 
 def build_armed_draid(drives=4, stripes=8, chunk=4 * KB, verify=True):
     from repro.draid.host import DraidArray
